@@ -236,17 +236,11 @@ func (g gmmScorer) ScoreAll(dst, frame []float64) { g.bank.ScoreAll(dst, frame) 
 func (g gmmScorer) NumSenones() int               { return g.bank.States() }
 
 // ScoreAllBatch scores a frame batch through the bank's multicore path
-// (hmm.BatchScorer): each frame's senone sweep fans out across
-// ScoreAllParallel workers, so a cross-request batch keeps every core
-// busy the way the paper's CMP GMM port does (§4.3.1, Table 4).
+// (hmm.BatchScorer): frames are split across the shared mat pool, so a
+// whole utterance or cross-request batch is one dispatch that keeps
+// every core busy, as the paper's CMP GMM port does (§4.3.1, Table 4).
 func (g gmmScorer) ScoreAllBatch(frames [][]float64) [][]float64 {
-	out := make([][]float64, len(frames))
-	for i, f := range frames {
-		out[i] = make([]float64, g.bank.States())
-		// workers <= 0 defers to the shared mat pool's configured width.
-		g.bank.ScoreAllParallel(out[i], f, 0)
-	}
-	return out
+	return g.bank.ScoreBatch(frames)
 }
 
 // gmmScorerI8 adapts the bank's int8 scoring image to hmm.Scorer.
@@ -624,9 +618,11 @@ func (rs *remapScorer) ScoreAllBatch(frames [][]float64) [][]float64 {
 		return nil
 	}
 	raw := bs.ScoreAllBatch(frames)
+	w := len(rs.remap)
+	slab := make([]float64, len(raw)*w)
 	out := make([][]float64, len(raw))
 	for f, row := range raw {
-		mapped := make([]float64, len(rs.remap))
+		mapped := slab[f*w : (f+1)*w : (f+1)*w]
 		for i, m := range rs.remap {
 			mapped[i] = row[m]
 		}

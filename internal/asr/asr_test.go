@@ -2,6 +2,7 @@ package asr
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -211,8 +212,8 @@ func TestDNNBatchScoringMatchesPerFrame(t *testing.T) {
 			}
 		}
 	}
-	// The GMM chain batches too (multicore bank sweep per frame) and
-	// must agree with its per-frame scores.
+	// The GMM chain batches too (frames split across the pool) and must
+	// agree with its per-frame scores bit for bit.
 	recG, err := NewRecognizer(models, EngineGMM, lex, lm, hmm.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +233,7 @@ func TestDNNBatchScoringMatchesPerFrame(t *testing.T) {
 	for f := range frames {
 		gScorer.ScoreAll(perFrame, frames[f])
 		for s := range perFrame {
-			if diff := perFrame[s] - gBatch[f][s]; diff > 1e-9 || diff < -1e-9 {
+			if math.Float64bits(perFrame[s]) != math.Float64bits(gBatch[f][s]) {
 				t.Fatalf("gmm frame %d senone %d: %v != %v", f, s, perFrame[s], gBatch[f][s])
 			}
 		}

@@ -61,12 +61,10 @@ type Stream struct {
 
 	ext *audio.StreamExtractor
 	ts  *timedScorer
-	dec *hmm.Decoder
-	// Exactly one of sess/nbest is set: the n-best session when trigram
-	// rescoring is enabled (so the streamed final goes through the same
-	// two-pass rescoring as the one-shot path), the 1-best otherwise.
-	sess  *hmm.Session
-	nbest *hmm.NBestSession
+	// sess is an n-best search when trigram rescoring is enabled (so the
+	// streamed final goes through the same two-pass rescoring as the
+	// one-shot path), a 1-best search otherwise.
+	sess *hmm.Session
 
 	samples       int // raw samples consumed (for the too-short error)
 	feElapsed     time.Duration
@@ -100,13 +98,12 @@ func (r *Recognizer) NewStream(ctx context.Context, cfg StreamConfig) (*Stream, 
 		ctx: ctx,
 		ext: r.models.FrontEnd.NewStreamExtractor(),
 		ts:  ts,
-		dec: dec,
 	}
 	if cfg.VAD != nil {
 		s.vad = audio.NewStreamVAD(*cfg.VAD)
 	}
 	if r.rescoreTri != nil {
-		s.nbest = dec.NewNBestSession(r.rescoreN)
+		s.sess = dec.NewNBestSession(r.rescoreN)
 	} else {
 		s.sess = dec.NewSession()
 	}
@@ -159,11 +156,7 @@ func (s *Stream) advance(feats [][]float64) error {
 	start := time.Now()
 	var err error
 	telemetry.WithLabels(s.ctx, "asr", "viterbi", func(ctx context.Context) {
-		if s.nbest != nil {
-			err = s.nbest.Advance(ctx, feats)
-		} else {
-			err = s.sess.Advance(ctx, feats)
-		}
+		err = s.sess.Advance(ctx, feats)
 	})
 	s.searchElapsed += time.Since(start)
 	return err
@@ -172,14 +165,8 @@ func (s *Stream) advance(feats [][]float64) error {
 // checkStability applies the partial-stability heuristic to the current
 // best path's committed words.
 func (s *Stream) checkStability() *Partial {
-	var words []string
-	if s.nbest != nil {
-		words = s.nbest.BestWords()
-	} else {
-		words = s.sess.BestWords()
-	}
-	text := strings.Join(filterSilence(words), " ")
-	frames := s.decodedFrames()
+	text := strings.Join(filterSilence(s.sess.BestWords()), " ")
+	frames := s.sess.Frames()
 	if text != s.trackedText {
 		s.trackedText = text
 		s.trackedSince = frames
@@ -191,13 +178,6 @@ func (s *Stream) checkStability() *Partial {
 	}
 	s.emittedText = text
 	return &Partial{Text: text, Frames: frames, StableFor: stable}
-}
-
-func (s *Stream) decodedFrames() int {
-	if s.nbest != nil {
-		return s.nbest.Frames()
-	}
-	return s.sess.Frames()
 }
 
 // Finish ends the utterance: the extractor's delta-lookahead tail is
@@ -227,8 +207,8 @@ func (s *Stream) Finish() (Result, error) {
 	}
 	finishStart := time.Now()
 	var res hmm.Result
-	if s.nbest != nil {
-		hyps := s.nbest.Finish()
+	if s.r.rescoreTri != nil {
+		hyps := s.sess.Finish()
 		if len(hyps) == 0 {
 			return Result{Timings: tm}, fmt.Errorf("asr: no hypotheses")
 		}

@@ -101,16 +101,20 @@ func TestPowerSpectrumPeak(t *testing.T) {
 	for i := range frame {
 		frame[i] = math.Sin(2 * math.Pi * freq * float64(i) / sr)
 	}
-	spec := PowerSpectrum(frame, cfg.FFTSize)
-	peak := 0
-	for i := range spec {
-		if spec[i] > spec[peak] {
-			peak = i
+	n := cfg.FFTSize
+	rs := make([]float64, n/2+1)
+	newRealFFT(n).power(rs, frame, make([]float64, n/2), make([]float64, n/2))
+	for _, spec := range [][]float64{PowerSpectrum(frame, n), rs} {
+		peak := 0
+		for i := range spec {
+			if spec[i] > spec[peak] {
+				peak = i
+			}
 		}
-	}
-	wantBin := freq / sr * float64(cfg.FFTSize)
-	if math.Abs(float64(peak)-wantBin) > 2 {
-		t.Fatalf("spectral peak at bin %d, want about %v", peak, wantBin)
+		wantBin := freq / sr * float64(n)
+		if math.Abs(float64(peak)-wantBin) > 2 {
+			t.Fatalf("spectral peak at bin %d, want about %v", peak, wantBin)
+		}
 	}
 }
 

@@ -44,12 +44,13 @@ func (c FrontEndConfig) Dim() int {
 }
 
 // FrontEnd converts raw audio into MFCC feature vectors. It precomputes the
-// Hamming window, the mel filterbank and the DCT-II matrix once, so a
-// single FrontEnd can be shared by all queries (it is read-only after
-// construction and safe for concurrent use).
+// Hamming window, the FFT tables, the mel filterbank and the DCT-II
+// matrix once, so a single FrontEnd can be shared by all queries (it is
+// read-only after construction and safe for concurrent use).
 type FrontEnd struct {
 	cfg     FrontEndConfig
 	window  []float64
+	fft     *realFFT
 	filters [][]filterTap // one sparse triangular filter per mel band
 	dct     [][]float64   // NumCeps x NumFilters
 }
@@ -66,6 +67,7 @@ func NewFrontEnd(cfg FrontEndConfig) *FrontEnd {
 	for i := range fe.window {
 		fe.window[i] = 0.54 - 0.46*math.Cos(2*math.Pi*float64(i)/float64(cfg.FrameLen-1))
 	}
+	fe.fft = newRealFFT(cfg.FFTSize)
 	fe.filters = melFilterbank(cfg.NumFilters, cfg.FFTSize, cfg.SampleRate)
 	fe.dct = make([][]float64, cfg.NumCeps)
 	for k := range fe.dct {

@@ -30,12 +30,16 @@ type StreamExtractor struct {
 
 	// statics is the window of computed static-cepstra frames still
 	// needed for delta regression; statics[0] is frame staticBase.
+	// Rows that leave the window wait in free for reuse.
 	statics    [][]float64
+	free       [][]float64
 	staticBase int
 	nStatic    int // total static frames computed
 	emitted    int // feature frames emitted
 
-	frame, logmel []float64 // per-frame scratch
+	// Per-frame scratch: the windowed frame, the FFT's working arrays,
+	// the power spectrum and the log mel energies.
+	frame, re, im, spec, logmel []float64
 }
 
 // deltaSpan is how many future static frames feature frame t depends
@@ -45,10 +49,14 @@ const deltaSpan = 4
 
 // NewStreamExtractor starts a streaming extraction session.
 func (fe *FrontEnd) NewStreamExtractor() *StreamExtractor {
+	cfg := fe.cfg
 	return &StreamExtractor{
 		fe:     fe,
-		frame:  make([]float64, fe.cfg.FrameLen),
-		logmel: make([]float64, fe.cfg.NumFilters),
+		frame:  make([]float64, cfg.FrameLen),
+		re:     make([]float64, cfg.FFTSize/2),
+		im:     make([]float64, cfg.FFTSize/2),
+		spec:   make([]float64, cfg.FFTSize/2+1),
+		logmel: make([]float64, cfg.NumFilters),
 	}
 }
 
@@ -56,13 +64,14 @@ func (fe *FrontEnd) NewStreamExtractor() *StreamExtractor {
 // that became final — identical, bit for bit, to the corresponding rows
 // of a whole-utterance Extract. It may return nothing (chunk shorter
 // than the window overlap) or several frames. The returned rows are not
-// reused by the extractor.
+// reused by the extractor. Steady state, the per-frame work allocates
+// nothing; each call allocates only the rows it returns.
 func (se *StreamExtractor) Push(samples []float64) [][]float64 {
 	cfg := se.fe.cfg
 	se.buf = append(se.buf, samples...)
 	head := 0
 	for head+cfg.FrameLen <= len(se.buf) {
-		se.statics = append(se.statics, se.fe.staticFrame(se.buf[head:head+cfg.FrameLen], se.prev, se.frame, se.logmel))
+		se.statics = append(se.statics, se.staticFrame(se.buf[head:head+cfg.FrameLen]))
 		se.nStatic++
 		se.prev = se.buf[head+cfg.FrameShift-1]
 		head += cfg.FrameShift
@@ -70,24 +79,15 @@ func (se *StreamExtractor) Push(samples []float64) [][]float64 {
 	if head > 0 {
 		se.buf = se.buf[:copy(se.buf, se.buf[head:])]
 	}
-	if !cfg.Deltas {
-		out := make([][]float64, 0, se.nStatic-se.emitted)
-		for se.emitted < se.nStatic {
-			out = append(out, se.staticAt(se.emitted))
-			se.emitted++
-		}
-		se.trim()
-		return out
+	// With deltas, a frame is final once its full +deltaSpan lookahead
+	// exists: every regression index it touches is then < nStatic <= the
+	// final frame count, so the end-clamping a whole-utterance pass
+	// would apply can no longer affect it.
+	ready := se.nStatic
+	if cfg.Deltas {
+		ready -= deltaSpan
 	}
-	// A frame is final once its full +deltaSpan lookahead exists: every
-	// regression index it touches is then < nStatic <= the final frame
-	// count, so the end-clamping a whole-utterance pass would apply can
-	// no longer affect it.
-	var out [][]float64
-	for se.emitted+deltaSpan < se.nStatic {
-		out = append(out, se.feature(se.emitted, -1))
-		se.emitted++
-	}
+	out := se.emit(ready, -1)
 	se.trim()
 	return out
 }
@@ -96,19 +96,30 @@ func (se *StreamExtractor) Push(samples []float64) [][]float64 {
 // windows were waiting on the (now known) final frame count. The
 // extractor must not be pushed to afterwards.
 func (se *StreamExtractor) Flush() [][]float64 {
-	if se.emitted >= se.nStatic {
-		return nil
-	}
-	out := make([][]float64, 0, se.nStatic-se.emitted)
-	for se.emitted < se.nStatic {
-		out = append(out, se.feature(se.emitted, se.nStatic))
-		se.emitted++
-	}
-	return out
+	return se.emit(se.nStatic, se.nStatic)
 }
 
 // Frames returns the number of feature frames emitted so far.
 func (se *StreamExtractor) Frames() int { return se.emitted }
+
+// emit assembles feature frames up to (not including) upto, as rows of
+// one slab; n is the total frame count for end clamping (-1 while
+// unknown).
+func (se *StreamExtractor) emit(upto, n int) [][]float64 {
+	count := upto - se.emitted
+	if count <= 0 {
+		return nil
+	}
+	dim := se.fe.cfg.Dim()
+	slab := make([]float64, count*dim)
+	out := make([][]float64, count)
+	for i := range out {
+		out[i] = slab[i*dim : (i+1)*dim : (i+1)*dim]
+		se.feature(out[i], se.emitted, n)
+		se.emitted++
+	}
+	return out
+}
 
 // staticAt returns static frame t from the sliding window.
 func (se *StreamExtractor) staticAt(t int) []float64 { return se.statics[t-se.staticBase] }
@@ -119,6 +130,7 @@ func (se *StreamExtractor) trim() {
 	keepFrom := se.emitted - deltaSpan
 	if keepFrom > se.staticBase {
 		n := keepFrom - se.staticBase
+		se.free = append(se.free, se.statics[:n]...)
 		se.statics = se.statics[:copy(se.statics, se.statics[n:])]
 		se.staticBase = keepFrom
 	}
@@ -147,12 +159,15 @@ func (se *StreamExtractor) deltaStatic(t, k, n int) float64 {
 	return num / 10
 }
 
-// feature assembles the full static+delta+delta-delta vector for frame
-// t. n is the total frame count for end clamping (-1 while unknown).
-func (se *StreamExtractor) feature(t, n int) []float64 {
-	nc := se.fe.cfg.NumCeps
-	v := make([]float64, nc*3)
+// feature writes frame t's feature vector into v: the static cepstra,
+// then (with deltas) the delta and delta-delta coefficients. n is the
+// total frame count for end clamping (-1 while unknown).
+func (se *StreamExtractor) feature(v []float64, t, n int) {
 	copy(v, se.staticAt(t))
+	if !se.fe.cfg.Deltas {
+		return
+	}
+	nc := se.fe.cfg.NumCeps
 	for k := 0; k < nc; k++ {
 		v[nc+k] = se.deltaStatic(t, k, n)
 	}
@@ -163,32 +178,38 @@ func (se *StreamExtractor) feature(t, n int) []float64 {
 		}
 		v[2*nc+k] = num / 10
 	}
-	return v
 }
 
 // staticFrame computes one frame of static cepstra from window w (len
-// FrameLen), with prev the raw sample preceding w[0] for pre-emphasis.
-// frame and logmel are caller-owned scratch.
-func (fe *FrontEnd) staticFrame(w []float64, prev float64, frame, logmel []float64) []float64 {
+// FrameLen), pre-emphasizing against se.prev, the raw sample preceding
+// w[0]. The row comes from the free list when one is waiting.
+func (se *StreamExtractor) staticFrame(w []float64) []float64 {
+	fe := se.fe
 	cfg := fe.cfg
+	prev := se.prev
 	for i := 0; i < cfg.FrameLen; i++ {
 		s := w[i]
-		frame[i] = (s - cfg.PreEmph*prev) * fe.window[i]
+		se.frame[i] = (s - cfg.PreEmph*prev) * fe.window[i]
 		prev = s
 	}
-	spec := PowerSpectrum(frame, cfg.FFTSize)
+	fe.fft.power(se.spec, se.frame, se.re, se.im)
 	for m, taps := range fe.filters {
 		var e float64
 		for _, t := range taps {
-			e += t.weight * spec[t.bin]
+			e += t.weight * se.spec[t.bin]
 		}
-		logmel[m] = math.Log(e + 1e-10)
+		se.logmel[m] = math.Log(e + 1e-10)
 	}
-	ceps := make([]float64, cfg.NumCeps)
-	for k := 0; k < cfg.NumCeps; k++ {
+	var ceps []float64
+	if n := len(se.free); n > 0 {
+		ceps, se.free = se.free[n-1], se.free[:n-1]
+	} else {
+		ceps = make([]float64, cfg.NumCeps)
+	}
+	for k := range ceps {
 		var s float64
 		for n := 0; n < cfg.NumFilters; n++ {
-			s += fe.dct[k][n] * logmel[n]
+			s += fe.dct[k][n] * se.logmel[n]
 		}
 		ceps[k] = s
 	}

@@ -58,3 +58,23 @@ func (b *Bank) ScoreAllParallel(dst []float64, x []float64, workers int) {
 	}
 	bankTime.Observe(time.Since(start))
 }
+
+// ScoreBatch returns the bank's scores for each frame, one row per
+// frame carved from a single slab. Frames, not senones, are split
+// across the shared mat pool and each worker sweeps whole frames with
+// the serial ScoreAll, so one dispatch covers a whole utterance and
+// every row is bit-identical to a per-frame ScoreAll.
+func (b *Bank) ScoreBatch(frames [][]float64) [][]float64 {
+	n := b.States()
+	slab := make([]float64, len(frames)*n)
+	rows := make([][]float64, len(frames))
+	for i := range rows {
+		rows[i] = slab[i*n : (i+1)*n : (i+1)*n]
+	}
+	mat.Parallel(len(frames), 1, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			b.ScoreAll(rows[i], frames[i])
+		}
+	})
+	return rows
+}

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"sirius/internal/mat"
 )
 
 // sampleMixture draws n points from a known 2-component mixture in dim d.
@@ -193,6 +195,52 @@ func TestBankParallelMatchesSerial(t *testing.T) {
 		for i := range serial {
 			if serial[i] != parallel[i] {
 				t.Fatalf("workers=%d state %d: %v != %v", workers, i, serial[i], parallel[i])
+			}
+		}
+	}
+}
+
+// TestScoreBatchMatchesScoreAll: frame-parallel batch rows are bit for
+// bit the per-frame serial sweep at every pool width, including ragged
+// frame counts that leave workers uneven ranges.
+func TestScoreBatchMatchesScoreAll(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	models := make([]*Model, 24)
+	for i := range models {
+		m := NewModel(3, 6)
+		for k := range m.Means {
+			for d := range m.Means[k] {
+				m.Means[k][d] = rng.NormFloat64() * 2
+				m.Precs[k][d] = 0.5 + rng.Float64()
+			}
+		}
+		m.RecomputeFactors()
+		models[i] = m
+	}
+	bank := NewBank(models)
+	defer mat.SetWorkers(0)
+	for _, workers := range []int{1, 2, 3, 8} {
+		mat.SetWorkers(workers)
+		for _, n := range []int{0, 1, 5, 37} {
+			frames := make([][]float64, n)
+			for f := range frames {
+				frames[f] = make([]float64, 6)
+				for d := range frames[f] {
+					frames[f][d] = rng.NormFloat64()
+				}
+			}
+			dst := bank.ScoreBatch(frames)
+			if len(dst) != n {
+				t.Fatalf("workers=%d: %d rows for %d frames", workers, len(dst), n)
+			}
+			want := make([]float64, bank.States())
+			for f := range frames {
+				bank.ScoreAll(want, frames[f])
+				for s := range want {
+					if math.Float64bits(dst[f][s]) != math.Float64bits(want[s]) {
+						t.Fatalf("workers=%d frames=%d: frame %d state %d: %v != %v", workers, n, f, s, dst[f][s], want[s])
+					}
+				}
 			}
 		}
 	}

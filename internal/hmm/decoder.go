@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"sirius/internal/mat"
 )
@@ -59,6 +60,9 @@ type Graph struct {
 	arcs       [][]arc
 	wordStart  []int32
 	startProbs []float64 // log P(word | <s>), indexed by word
+	// scratch recycles search scratch (token arrays, history arena)
+	// across the recognitions that share this graph.
+	scratch sync.Pool
 }
 
 // Config tunes graph compilation and decoding.
@@ -143,12 +147,6 @@ func (g *Graph) NumStates() int { return len(g.senones) }
 // Phones returns the ordered phone set the senones index into.
 func (g *Graph) Phones() []string { return g.phones }
 
-// histNode is a shared immutable word-history backpointer.
-type histNode struct {
-	word int32
-	prev *histNode
-}
-
 // Result is a decoding outcome.
 type Result struct {
 	Words     []string
@@ -162,82 +160,14 @@ type Result struct {
 	RunnerUp   string
 }
 
-// histSlabSize is the node count of one arena slab.
-const histSlabSize = 1024
-
-// histArena bump-allocates histNodes from reusable slabs so the frame
-// loop's word-boundary backpointers cost no heap allocations in steady
-// state. reset recycles every node while keeping the slabs, so nodes
-// must not be referenced across a reset (Decode extracts its word
-// sequence before returning).
-type histArena struct {
-	slabs [][]histNode
-	slab  int // slab currently allocating from
-	used  int // nodes handed out of that slab
-}
-
-func (a *histArena) reset() { a.slab, a.used = 0, 0 }
-
-func (a *histArena) alloc(word int32, prev *histNode) *histNode {
-	if a.slab < len(a.slabs) && a.used == histSlabSize {
-		a.slab++
-		a.used = 0
-	}
-	if a.slab >= len(a.slabs) {
-		a.slabs = append(a.slabs, make([]histNode, histSlabSize))
-	}
-	n := &a.slabs[a.slab][a.used]
-	a.used++
-	n.word, n.prev = word, prev
-	return n
-}
-
-// histBins is the resolution of the histogram-pruning score buckets.
-const histBins = 128
-
-// decodeScratch is the decoder-owned reusable state of Decode: token
-// score and history arrays (swapped, not reallocated, across frames and
-// utterances), the emission buffer, the pruning histogram, and the
-// backpointer arena.
-type decodeScratch struct {
-	cur, next         []float64
-	curHist, nextHist []*histNode
-	emit              []float64
-	bins              []int
-	arena             histArena
-}
-
-// prepare sizes the scratch for a graph and recycles the arena.
-func (sc *decodeScratch) prepare(states, senones int) {
-	if cap(sc.cur) < states {
-		sc.cur = make([]float64, states)
-		sc.next = make([]float64, states)
-		sc.curHist = make([]*histNode, states)
-		sc.nextHist = make([]*histNode, states)
-	}
-	sc.cur = sc.cur[:states]
-	sc.next = sc.next[:states]
-	sc.curHist = sc.curHist[:states]
-	sc.nextHist = sc.nextHist[:states]
-	if cap(sc.emit) < senones {
-		sc.emit = make([]float64, senones)
-	}
-	sc.emit = sc.emit[:senones]
-	if sc.bins == nil {
-		sc.bins = make([]int, histBins)
-	}
-	sc.arena.reset()
-}
-
-// Decoder runs Viterbi beam search over a compiled graph. A Decoder
-// owns reusable decoding scratch and is NOT safe for concurrent use;
-// concurrent recognitions each build their own (they are cheap — the
-// scratch is allocated lazily on first Decode and reused after).
+// Decoder runs Viterbi beam search over a compiled graph. It is cheap
+// to build (each search draws its scratch from the graph's pool) and,
+// like its scorer, not safe for concurrent use: concurrent
+// recognitions each build their own.
 type Decoder struct {
 	graph  *Graph
 	scorer Scorer
 	cfg    Config
-	sc     decodeScratch
 }
 
 // NewDecoder pairs a graph with an acoustic scorer.
@@ -256,9 +186,10 @@ func NewDecoder(g *Graph, scorer Scorer, cfg Config) (*Decoder, error) {
 const ctxCheckInterval = 8
 
 // Decode runs the full Viterbi search over a feature-frame sequence and
-// returns the best word sequence. Steady state it is allocation-free:
-// token arrays, the emission buffer, and word-history nodes all come
-// from decoder-owned scratch reused across frames and utterances.
+// returns the best word sequence. Steady state the frame loop is
+// allocation-free: token arrays, the emission buffer, and word-history
+// nodes all come from pooled scratch reused across frames and
+// utterances.
 func (d *Decoder) Decode(frames [][]float64) Result {
 	res, _ := d.DecodeContext(context.Background(), frames)
 	return res
@@ -280,80 +211,50 @@ func (d *Decoder) DecodeContext(ctx context.Context, frames [][]float64) (Result
 	}
 	s := d.NewSession()
 	if err := s.Advance(ctx, frames); err != nil {
+		s.release()
 		return Result{}, err
 	}
 	return s.Result(), nil
 }
 
-// step relaxes every arc for one frame against the emission scores in
-// emit and advances the token buffers. It allocates nothing in steady
-// state: scores and histories live on the decoder scratch and
-// word-boundary backpointers come from the slab arena. Returns the
-// number of active states after the frame.
-func (d *Decoder) step(emit []float64) int {
-	sc := &d.sc
-	g := d.graph
-	cur, next := sc.cur, sc.next
-	curHist, nextHist := sc.curHist, sc.nextHist
-	n := len(cur)
-	for i := range next {
-		next[i] = math.Inf(-1)
-		nextHist[i] = nil
-	}
-	best := math.Inf(-1)
-	for _, v := range cur {
-		if v > best {
-			best = v
-		}
-	}
-	threshold := math.Inf(-1)
-	if d.cfg.Beam > 0 {
-		threshold = best - d.cfg.Beam
-	}
-	if d.cfg.MaxActive > 0 {
-		if ht := histogramThreshold(cur, best, d.cfg.Beam, d.cfg.MaxActive, sc.bins); ht > threshold {
-			threshold = ht
-		}
-	}
-	for s := 0; s < n; s++ {
-		tokenScore := cur[s]
-		if tokenScore < threshold || math.IsInf(tokenScore, -1) {
-			continue
-		}
-		h := curHist[s]
-		for _, a := range g.arcs[s] {
-			cand := tokenScore + a.weight
-			if cand > next[a.to] {
-				next[a.to] = cand
-				if a.wordLabel >= 0 {
-					nextHist[a.to] = sc.arena.alloc(a.wordLabel, h)
-				} else {
-					nextHist[a.to] = h
-				}
-			}
-		}
-	}
-	active := 0
-	for s := 0; s < n; s++ {
-		if !math.IsInf(next[s], -1) {
-			next[s] += emit[g.senones[s]]
-			active++
-		}
-	}
-	sc.cur, sc.next = next, cur
-	sc.curHist, sc.nextHist = nextHist, curHist
-	return active
+// DecodeNBest runs the search keeping up to k tokens per state and
+// returns the n best distinct word sequences (best first). The extra
+// hypotheses feed trigram rescoring (Trigram.Rescore), the classic
+// two-pass decoder arrangement.
+func (d *Decoder) DecodeNBest(frames [][]float64, n int) []Result {
+	res, _ := d.DecodeNBestContext(context.Background(), frames, n)
+	return res
 }
 
-// histogramThreshold implements Sphinx-style max-active pruning: active
-// scores are bucketed by depth below the frame's best, and the depth
+// DecodeNBestContext is DecodeNBest with DecodeContext's cancellation,
+// returning ctx.Err() with no hypotheses. It is one n-best Session
+// advanced over the whole utterance.
+func (d *Decoder) DecodeNBestContext(ctx context.Context, frames [][]float64, n int) ([]Result, error) {
+	if len(frames) == 0 {
+		return nil, nil
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	s := d.NewNBestSession(n)
+	if err := s.Advance(ctx, frames); err != nil {
+		s.release()
+		return nil, err
+	}
+	return s.Finish(), nil
+}
+
+// histogramThreshold implements Sphinx-style max-active pruning over
+// each state's best token (-Inf for an empty state): active scores are
+// bucketed by depth below the frame's best, and the depth
 // that keeps roughly maxActive states becomes the pruning threshold.
 // Buckets span the active set's score range (clamped to the beam when
 // one is set — anything deeper is pruned by the beam regardless), so
 // the resolution tracks the scores actually present. Returns -Inf when
 // the active count is already within budget.
 func histogramThreshold(cur []float64, best, beam float64, maxActive int, bins []int) float64 {
-	if math.IsInf(best, -1) {
+	if math.IsInf(best, -1) || len(cur) <= maxActive {
+		// Nothing active, or the whole graph fits the budget.
 		return math.Inf(-1)
 	}
 	worst := best
@@ -401,14 +302,4 @@ func histogramThreshold(cur []float64, best, beam float64, maxActive int, bins [
 		}
 	}
 	return math.Inf(-1)
-}
-
-func countActive(scores []float64) int {
-	n := 0
-	for _, v := range scores {
-		if !math.IsInf(v, -1) {
-			n++
-		}
-	}
-	return n
 }

@@ -1,6 +1,7 @@
 package hmm
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -411,10 +412,11 @@ func TestGraphInvariantsProperty(t *testing.T) {
 	}
 }
 
-// TestStepZeroAllocSteadyState pins the decoder's frame-step contract:
-// after one warm decode, relaxing a frame through the beam (token
-// arrays, histogram bins, and the backpointer arena all reused)
-// performs zero heap allocations.
+// TestStepZeroAllocSteadyState pins the search's frame-step contract:
+// once a session's scratch has grown, relaxing a frame through the beam
+// (token arrays, histogram bins, and the backpointer arena all reused)
+// performs zero heap allocations, for the 1-best and the served n-best
+// token count alike.
 func TestStepZeroAllocSteadyState(t *testing.T) {
 	lex, lm := buildToy(t)
 	cfg := DefaultConfig()
@@ -428,20 +430,59 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Decode(frames) // warm scratch, bins, and arena slabs
 	emit := make([]float64, nSen)
 	for i := range emit {
 		emit[i] = -2
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		// Reset the arena so repeated steps bump-allocate from the
-		// already-grown slabs instead of appending new ones; step never
-		// dereferences old nodes, only Decode's traceback does.
-		d.sc.arena.reset()
-		d.step(emit)
-	})
-	if allocs != 0 {
-		t.Fatalf("frame step allocates %v per op, want 0", allocs)
+	for _, s := range []*Session{d.NewSession(), d.NewNBestSession(4)} {
+		if err := s.Advance(context.Background(), frames); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			// Reset the arena so repeated steps bump-allocate from the
+			// already-grown slabs instead of appending new ones; step
+			// never dereferences old nodes, only the traceback does.
+			s.sc.arena.reset()
+			s.step(emit)
+		})
+		if allocs != 0 {
+			t.Fatalf("k=%d: frame step allocates %v per op, want 0", s.sc.k, allocs)
+		}
+	}
+}
+
+// TestAdvanceZeroAllocSteadyState: a served-shape n-best session whose
+// scratch came back from the graph's pool advances frame by frame with
+// no heap allocation — the pool carries the grown token arrays and
+// arena slabs from one recognition to the next.
+func TestAdvanceZeroAllocSteadyState(t *testing.T) {
+	cfg := DefaultConfig()
+	g, table, frames := longToyUtterance(t, cfg)
+	d, err := NewDecoder(g, &tableScorer{table: table, nSenones: len(g.Phones()) * StatesPerPhone}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 4} {
+		// One full recognition grows the scratch and returns it to the
+		// pool; the next session reuses it.
+		if d.DecodeNBest(frames, n) == nil {
+			t.Fatal("warm-up decode found nothing")
+		}
+		s := d.NewNBestSession(n)
+		ctx := context.Background()
+		f := 0
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := s.Advance(ctx, frames[f:f+1]); err != nil {
+				t.Fatal(err)
+			}
+			f++
+		})
+		if allocs != 0 {
+			t.Fatalf("n=%d: Advance allocates %v per frame, want 0", n, allocs)
+		}
+		if res := s.Finish(); len(res) == 0 {
+			t.Fatalf("n=%d: no hypotheses", n)
+		}
 	}
 }
 

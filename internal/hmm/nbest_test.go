@@ -6,16 +6,6 @@ import (
 	"testing"
 )
 
-func TestInsertToken(t *testing.T) {
-	var list []token
-	for _, s := range []float64{3, 1, 5, 2, 4} {
-		list = insertToken(list, token{score: s}, 3)
-	}
-	if len(list) != 3 || list[0].score != 5 || list[1].score != 4 || list[2].score != 3 {
-		t.Fatalf("list: %+v", list)
-	}
-}
-
 func TestDecodeNBestTopMatchesDecode(t *testing.T) {
 	lex, lm := buildToy(t)
 	cfg := DefaultConfig()

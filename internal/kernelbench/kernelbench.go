@@ -1,8 +1,8 @@
 // Package kernelbench measures the repo's Sirius Suite kernel ports —
-// GEMM (DNN), GMM bank scoring, Viterbi search, and k-d tree matching
-// (the Table 4 workloads) — outside `go test`, so the numbers can be
-// emitted as machine-readable JSON from cmd/sirius-bench and checked
-// into benchmark reports. Each kernel is timed serial vs pool-parallel
+// GEMM (DNN), GMM bank scoring, MFCC extraction, Viterbi search, and
+// k-d tree matching (the Table 4 workloads) — outside `go test`, so the
+// numbers can be emitted as machine-readable JSON from cmd/sirius-bench
+// and checked into benchmark reports. Each kernel is timed serial vs pool-parallel
 // where both paths exist, and allocations per op are recorded to pin
 // the zero-alloc steady-state contracts.
 package kernelbench
@@ -210,6 +210,66 @@ func viterbiResults(minTime time.Duration) ([]Result, error) {
 	}, nil
 }
 
+// servedResults times the served voice path's ASR kernels on the
+// served graph and trained acoustic models: mfcc_frame is one
+// StreamExtractor frame (one 10 ms hop pushed into a warm extractor;
+// its two allocations are the returned row and the slice holding it),
+// and
+// viterbi_nbest_served is a whole utterance's n=4 search — the default
+// two-pass configuration — with frame-parallel GMM batch scoring.
+func servedResults(models *asr.Models, lex *hmm.Lexicon, lm *hmm.Bigram, minTime time.Duration) ([]Result, error) {
+	samples, err := asr.SynthesizeText(lex, "what is the capital of italy", 7)
+	if err != nil {
+		return nil, err
+	}
+	fe := models.FrontEnd
+	hop := fe.Config().FrameShift
+	se := fe.NewStreamExtractor()
+	se.Push(samples[:fe.Config().FrameLen])
+	off := 0
+	mfcc := measure("mfcc_frame", 1, minTime, func() {
+		if off+hop > len(samples) {
+			off = 0
+		}
+		se.Push(samples[off : off+hop])
+		off += hop
+	})
+
+	cfg := hmm.DefaultConfig()
+	g, err := hmm.CompileGraph(lex, lm, cfg)
+	if err != nil {
+		return nil, err
+	}
+	// The bank laid out in graph senone order needs no remap.
+	modelIdx := map[string]int{}
+	for i, p := range models.Phones {
+		modelIdx[p] = i
+	}
+	var graphOrder []*gmm.Model
+	for _, p := range g.Phones() {
+		for s := 0; s < hmm.StatesPerPhone; s++ {
+			graphOrder = append(graphOrder, models.Bank.Models[modelIdx[p]*hmm.StatesPerPhone+s])
+		}
+	}
+	d, err := hmm.NewDecoder(g, bankScorer{gmm.NewBank(graphOrder)}, cfg)
+	if err != nil {
+		return nil, err
+	}
+	frames := fe.Extract(samples)
+	return []Result{
+		mfcc,
+		measure("viterbi_nbest_served", mat.Workers(), minTime, func() { _ = d.DecodeNBest(frames, 4) }),
+	}, nil
+}
+
+// bankScorer scores a GMM bank frame by frame or, as served, in
+// frame-parallel batches.
+type bankScorer struct{ bank *gmm.Bank }
+
+func (b bankScorer) ScoreAll(dst, frame []float64)                { b.bank.ScoreAll(dst, frame) }
+func (b bankScorer) NumSenones() int                              { return b.bank.States() }
+func (b bankScorer) ScoreAllBatch(frames [][]float64) [][]float64 { return b.bank.ScoreBatch(frames) }
+
 func kdResults(rng *rand.Rand, minTime time.Duration) []Result {
 	const points = 4096
 	vecs := make([][vision.DescriptorSize]float64, points)
@@ -289,12 +349,7 @@ func shardResults(minTime time.Duration, large bool) []Result {
 // API) and time to the final transcript. Each concurrent lane runs on
 // its own Recognizer sharing the read-only Models, mirroring how a
 // server hosts concurrent sessions.
-func streamResults(minTime time.Duration) ([]Result, error) {
-	lex, lm := kb.BuildLexicon()
-	models, err := asr.TrainModels(lex.PhoneSet(), asr.DefaultTrainConfig())
-	if err != nil {
-		return nil, err
-	}
+func streamResults(models *asr.Models, lex *hmm.Lexicon, lm *hmm.Bigram, minTime time.Duration) ([]Result, error) {
 	samples, err := asr.SynthesizeText(lex, "set my alarm for eight", 42)
 	if err != nil {
 		return nil, err
@@ -404,9 +459,19 @@ func Run(minTime time.Duration, large bool) (Report, error) {
 		return rep, err
 	}
 	rep.Results = append(rep.Results, vit...)
+	lex, lm := kb.BuildLexicon()
+	models, err := asr.TrainModels(lex.PhoneSet(), asr.DefaultTrainConfig())
+	if err != nil {
+		return rep, err
+	}
+	served, err := servedResults(models, lex, lm, minTime)
+	if err != nil {
+		return rep, err
+	}
+	rep.Results = append(rep.Results, served...)
 	rep.Results = append(rep.Results, kdResults(rng, minTime)...)
 	rep.Results = append(rep.Results, shardResults(minTime, large)...)
-	str, err := streamResults(minTime)
+	str, err := streamResults(models, lex, lm, minTime)
 	if err != nil {
 		return rep, err
 	}

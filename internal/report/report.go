@@ -58,35 +58,38 @@ func NewHarness(scale suite.Scale) (*Harness, error) {
 	}, nil
 }
 
+// inputSetRuns is how many times RunInputSet runs each query; the
+// fastest run is kept. Per-query service times are a few milliseconds,
+// so one preemption or GC pause would otherwise decide a query's
+// latency and with it the max/min spreads of Fig 8a.
+const inputSetRuns = 3
+
 // RunInputSet executes the full 42-query input set through the pipeline
 // (text path for QA determinism, voice for VC, image matching for VIQ)
-// and records latencies. Idempotent: later calls reuse the measurements.
+// and records latencies, keeping each query's fastest of inputSetRuns
+// runs. Idempotent: later calls reuse the measurements.
 func (h *Harness) RunInputSet() error {
 	if len(h.perQuery) > 0 {
 		return nil
 	}
 	for i, q := range kb.AllQueries() {
-		var resp sirius.Response
-		switch q.Class {
-		case kb.VoiceCommand, kb.VoiceQuery:
-			samples, err := asr.SynthesizeText(h.Pipeline.Lexicon(), q.Text, int64(4000+i))
-			if err != nil {
-				return err
-			}
-			resp, err = h.Pipeline.Process(context.Background(), sirius.Request{Samples: samples})
-			if err != nil {
-				return err
-			}
-		case kb.VoiceImageQuery:
-			samples, err := asr.SynthesizeText(h.Pipeline.Lexicon(), q.Text, int64(4000+i))
-			if err != nil {
-				return err
-			}
+		samples, err := asr.SynthesizeText(h.Pipeline.Lexicon(), q.Text, int64(4000+i))
+		if err != nil {
+			return err
+		}
+		req := sirius.Request{Samples: samples}
+		if q.Class == kb.VoiceImageQuery {
 			scene := vision.GenerateScene(q.ImageID, vision.DefaultSceneConfig())
-			photo := vision.Warp(scene, vision.DefaultWarp(int64(600+i)))
-			resp, err = h.Pipeline.Process(context.Background(), sirius.Request{Samples: samples, Image: photo})
+			req.Image = vision.Warp(scene, vision.DefaultWarp(int64(600+i)))
+		}
+		var resp sirius.Response
+		for run := 0; run < inputSetRuns; run++ {
+			r, err := h.Pipeline.Process(context.Background(), req)
 			if err != nil {
 				return err
+			}
+			if run == 0 || r.Latency.Total < resp.Latency.Total {
+				resp = r
 			}
 		}
 		h.perQuery = append(h.perQuery, QueryMeasurement{Query: q, Latency: resp.Latency, Answer: resp.Answer})
@@ -256,12 +259,18 @@ func (h *Harness) RunFig8bc() ([]QABreakdownRow, float64, error) {
 	var rows []QABreakdownRow
 	for _, q := range kb.VoiceQueries {
 		// Take the fastest of five runs to suppress scheduler noise at
-		// the microsecond scale these queries run at in Go.
+		// the microsecond scale these queries run at in Go: the
+		// breakdown comes from the run with the smallest QA total, and
+		// the filter time is the minimum over all runs on its own, since
+		// a preemption can land in the filters of an otherwise fast run.
 		resp, _ := h.Pipeline.Process(context.Background(), sirius.Request{Text: q.Text})
+		filterTime := resp.Latency.QAFilterTime
 		for rep := 0; rep < 4; rep++ {
-			if r, _ := h.Pipeline.Process(context.Background(), sirius.Request{Text: q.Text}); r.Latency.QA < resp.Latency.QA {
+			r, _ := h.Pipeline.Process(context.Background(), sirius.Request{Text: q.Text})
+			if r.Latency.QA < resp.Latency.QA {
 				resp = r
 			}
+			filterTime = min(filterTime, r.Latency.QAFilterTime)
 		}
 		rows = append(rows, QABreakdownRow{
 			ID:         q.ID,
@@ -270,7 +279,7 @@ func (h *Harness) RunFig8bc() ([]QABreakdownRow, float64, error) {
 			CRF:        resp.Latency.QACRF,
 			Total:      resp.Latency.QA,
 			FilterHits: resp.Latency.QAFilterHits,
-			FilterTime: resp.Latency.QAFilterTime,
+			FilterTime: filterTime,
 		})
 	}
 	// Pearson correlation between the time spent inside the per-hit

@@ -39,6 +39,12 @@ echo "== kernel parity smoke =="
 go test -count=1 -run 'TestKernelParityPacked|TestKernelParityI8' ./internal/mat/
 go test -count=1 -run 'TestInt8TranscriptParity' ./internal/asr/
 
+echo "== e2ebench self-tests =="
+# The end-to-end benchmark (bash e2ebench/run.sh) is a module of its own
+# that replaces sirius with this checkout, so ./... above never compiles
+# it; run its self-tests against the current tree here.
+(cd e2ebench && GOWORK=off GOFLAGS= go test ./...)
+
 echo "== kernel bench smoke =="
 # A fast sweep of the kernel micro-benchmarks: proves the -bench-json
 # path stays wired and every kernel (GEMM, DNN, GMM, Viterbi, k-d) still
